@@ -6,20 +6,18 @@
 
 #include "core/aggregation.h"
 #include "core/problem.h"
-#include "flow/min_cost_flow.h"
+#include "flow/transport_simplex.h"
 
 namespace mecsc::core {
 
 /// Snapshot of a FractionalSolver's cross-solve warm state — the
-/// previous solve's flow arcs (which seed the next solve's working set)
-/// and the station dual prices its arc ranking consults. Checkpointing
-/// this is what keeps the flow path's decisions bit-identical across a
-/// crash/resume boundary.
+/// previous solve's flow arcs, which the next solve pivots into its
+/// starting basis before pricing. It is the only state carried from one
+/// solve to the next, so checkpointing it keeps the flow path's
+/// decisions bit-identical across a crash/resume boundary.
 struct FractionalWarmState {
-  /// Previous solve's per-service flow arcs (next solve's working set).
+  /// Previous solve's per-column flow arcs (station ids).
   std::vector<std::vector<std::uint32_t>> warm_arcs;
-  /// Station dual prices the arc ranking consults.
-  std::vector<double> station_price;
 };
 
 /// Outcome annotations of a degraded-mode solve (solve_degraded /
@@ -45,7 +43,7 @@ struct SolveReport {
 ///     (ρ_l·θ_i + access_li + amortized_inst_ik) / (ρ_l·C_unit)
 ///
 /// where amortized_inst spreads d_ins[i][k] over the expected resource
-/// demand of service k. Min-cost flow solves this exactly; y is
+/// demand of service k. A network simplex solves this exactly; y is
 /// recovered as y_ki = max_{l: svc(l)=k} x_li and the reported objective
 /// is re-evaluated with the true (non-amortized) Eq. 3 cost, so the only
 /// approximation is in *where* flow is routed, not in how the solution
@@ -53,18 +51,19 @@ struct SolveReport {
 /// quantify the gap against the exact simplex path (small: instantiation
 /// delays are second-order versus ρ·θ).
 ///
-/// Performance (DESIGN.md "Performance"): instead of the dense |R|×|BS|
-/// bipartite graph, each solve runs on a pruned *working set* of arcs —
-/// the k cheapest stations per request plus the stations that carried
-/// the request's flow on the previous solve — and then certifies the
-/// result against the full arc set with the flow solver's final dual
-/// potentials (reduced cost >= 0 for every pruned-out arc). Violated
-/// arcs are added and the network re-solved, so the answer is exactly
-/// the full-network optimum; the working set merely shrinks each
-/// Dijkstra pass by roughly |BS|/k. All scratch memory (the flow
-/// network, cost matrices, working sets) is owned by the solver and
-/// reused across solves, so steady-state per-slot solves allocate
-/// nothing.
+/// Method (DESIGN.md §7): every re-pricing round is solved exactly on
+/// the full column × station arc set by flow::TransportSimplex, a
+/// primal network simplex. Only arc costs change between rounds, so
+/// rounds 1-2 restart from the previous round's optimal basis; round 0
+/// starts from the artificial basis with last solve's flow arcs pivoted
+/// in first. The simplex stops only when no arc has a negative reduced
+/// cost, which is the optimality certificate for the whole network. A
+/// slack source absorbs spare capacity; on a capacity shortfall an
+/// overflow sink takes the unroutable demand (the routed part is still
+/// the min-cost max-flow), which solve_degraded then places greedily.
+/// All scratch memory (the simplex, cost matrices) is owned by the
+/// solver and reused across solves, so steady-state per-slot solves
+/// allocate nothing.
 ///
 /// Scaling (DESIGN.md §11): the flow core is column-generic — a column
 /// is either one request or one demand class (solve_classes). With
@@ -121,18 +120,18 @@ class FractionalSolver {
 
   /// Snapshots the cross-solve warm state (see FractionalWarmState).
   FractionalWarmState export_warm_state() const {
-    return FractionalWarmState{s_.warm, s_.station_price};
+    return FractionalWarmState{s_.warm};
   }
 
   /// Restores a snapshot taken by export_warm_state(). Dimension-checked:
-  /// a snapshot whose station-price vector or arc station ids were sized
-  /// for a different station count (stale checkpoint after a topology
-  /// change, or a resume recipe whose byte-compare passed but whose
-  /// aggregation resolution produced a different column universe) is
-  /// rejected as a whole and the solver cold-starts instead of indexing
-  /// stale arcs out of bounds. Column-count drift alone is fine — the
-  /// per-slot class count varies by design and flow_solve resizes the
-  /// warm set — it is the *station* dimension that the arc ids index.
+  /// a snapshot whose arc station ids were sized for a different station
+  /// count (stale checkpoint after a topology change, or a resume recipe
+  /// whose byte-compare passed but whose aggregation resolution produced
+  /// a different column universe) is rejected as a whole and the solver
+  /// cold-starts instead of pivoting in arcs that do not exist.
+  /// Column-count drift alone is fine — the per-slot class count varies
+  /// by design and flow_solve resizes the warm set — it is the *station*
+  /// dimension that the arc ids index.
   void import_warm_state(const FractionalWarmState& state) const;
 
  private:
@@ -155,7 +154,7 @@ class FractionalSolver {
   /// "column" below is a request (solve/solve_degraded) or a demand
   /// class (solve_classes).
   struct Scratch {
-    flow::MinCostFlow mcf{0};
+    flow::TransportSimplex simplex;
     std::vector<double> res;             // per column, resource demand (MHz)
     std::vector<std::uint32_t> svc;      // per column, service id
     std::vector<std::uint32_t> home;     // per column, home station
@@ -167,14 +166,11 @@ class FractionalSolver {
     std::vector<double> y;               // nk×ns current round
     std::vector<double> x_best;          // n×ns best round so far
     std::vector<double> y_best;          // nk×ns
-    std::vector<std::vector<std::uint32_t>> work;       // station ids per column
-    std::vector<std::vector<std::size_t>> work_edge;    // edge id per working arc
-    std::vector<std::size_t> sink_edge;  // per station, edge id of station→sink
-    std::vector<double> station_price;   // per station, certificate dual
-    std::vector<double> station_load;    // per station, degraded-mode load (MHz)
-    std::vector<char> in_work;           // n×ns membership mask
-    std::vector<std::pair<double, std::uint32_t>> cand;  // sort buffer
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> violations;
+    std::vector<std::uint32_t> cols;     // simplex source -> column (res > 0)
+    std::vector<std::uint32_t> ups;      // simplex sink -> up station
+    std::vector<std::uint32_t> sink_of;  // station -> simplex sink (ns if down)
+    std::vector<double> station_load;    // per station, routed load (MHz)
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> prime;  // warm arcs
     std::vector<std::vector<std::uint32_t>> warm;  // previous solve's flow arcs
   };
 

@@ -21,7 +21,9 @@ constexpr std::uint32_t kCheckpointMagic = 0x4B43454DU;  // "MECK"
 // v2: appended the Lagrangian dual warm state (λ + step scale) after the
 // flow-solver warm state — required for bit-identical resume under
 // MECSC_SOLVER=lagrangian/auto.
-constexpr std::uint16_t kCheckpointVersion = 2;
+// v3: dropped the flow solver's station prices — the network simplex
+// warm-starts from the warm arcs alone.
+constexpr std::uint16_t kCheckpointVersion = 3;
 
 void put_doubles(std::string& buf, const std::vector<double>& v) {
   put(buf, static_cast<std::uint64_t>(v.size()));
@@ -118,7 +120,6 @@ std::string serialize_checkpoint(const Checkpoint& ckpt) {
     put(buf, static_cast<std::uint64_t>(arcs.size()));
     put_bytes(buf, arcs.data(), arcs.size() * sizeof(std::uint32_t));
   }
-  put_doubles(buf, a.solver_warm.station_price);
   put_doubles(buf, a.lag_warm.lambda);
   put(buf, a.lag_warm.step_scale);
 
@@ -170,7 +171,6 @@ bool parse_checkpoint(Cursor& c, Checkpoint& ckpt) {
     arcs.resize(static_cast<std::size_t>(m));
     if (!c.take(arcs.data(), arcs.size() * sizeof(std::uint32_t))) return false;
   }
-  if (!take_doubles(c, a.solver_warm.station_price)) return false;
   if (!take_doubles(c, a.lag_warm.lambda)) return false;
   if (!c.take(a.lag_warm.step_scale)) return false;
 

@@ -80,6 +80,7 @@ class Cursor {
   Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
   bool take(void* out, std::size_t n) {
     if (n > size_ - pos_) return false;
+    if (n == 0) return true;  // empty vectors may hand in a null `out`
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

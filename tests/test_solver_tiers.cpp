@@ -291,28 +291,34 @@ TEST(FractionalWarmStateTest, RejectsWrongStationDimension) {
   FractionalSolver solver(*inst.problem);
   (void)solver.solve(inst.demands, inst.theta);
   const FractionalWarmState good = solver.export_warm_state();
-  ASSERT_EQ(good.station_price.size(), 6u);
+  ASSERT_EQ(good.warm_arcs.size(), 24u);
+  for (const auto& arcs : good.warm_arcs) {
+    for (std::uint32_t i : arcs) ASSERT_LT(i, 6u);
+  }
 
-  // Price vector from another station universe: rejected as a whole.
+  // An arc naming a station id past the universe (a snapshot from a
+  // larger topology) would pivot in a nonexistent arc: the snapshot is
+  // rejected as a whole.
   FractionalWarmState bad = good;
-  bad.station_price.resize(4);
+  bad.warm_arcs.front().push_back(6u);
   solver.import_warm_state(bad);
-  EXPECT_TRUE(solver.export_warm_state().station_price.empty());
+  EXPECT_TRUE(solver.export_warm_state().warm_arcs.empty());
+  FractionalWarmState bad_tail = good;
+  bad_tail.warm_arcs.push_back({9u});
+  solver.import_warm_state(bad_tail);
   EXPECT_TRUE(solver.export_warm_state().warm_arcs.empty());
 
-  // An arc naming a station id past the universe would index out of
-  // bounds: rejected too.
-  FractionalWarmState bad_arcs = good;
-  bad_arcs.warm_arcs.push_back({6u});
-  solver.import_warm_state(bad_arcs);
-  EXPECT_TRUE(solver.export_warm_state().station_price.empty());
-
-  // The valid snapshot round-trips intact, and the solver still solves.
+  // The valid snapshot round-trips intact, and the solver still solves
+  // — to the same solution as the run that produced the snapshot.
   solver.import_warm_state(good);
-  EXPECT_EQ(solver.export_warm_state().station_price, good.station_price);
   EXPECT_EQ(solver.export_warm_state().warm_arcs, good.warm_arcs);
   const FractionalSolution sol = solver.solve(inst.demands, inst.theta);
   EXPECT_TRUE(std::isfinite(sol.objective));
+  FractionalSolver twin(*inst.problem);
+  twin.import_warm_state(good);
+  const FractionalSolution twin_sol = twin.solve(inst.demands, inst.theta);
+  EXPECT_EQ(sol.objective, twin_sol.objective);
+  EXPECT_EQ(sol.x, twin_sol.x);
 }
 
 }  // namespace

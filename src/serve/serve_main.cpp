@@ -37,10 +37,16 @@
 namespace {
 
 std::atomic<mecsc::serve::SlotService*> g_service{nullptr};
+// Set by a signal that arrives while the service is being built (its
+// scenario build scales with --slots); main() forwards it afterwards.
+std::atomic<bool> g_stop_requested{false};
 
 void handle_signal(int) {
-  // request_stop() is one lock-free atomic store — async-signal-safe.
-  mecsc::serve::SlotService* service = g_service.load(std::memory_order_acquire);
+  // Lock-free atomic stores only — async-signal-safe. Both sides are
+  // seq_cst, so a signal racing main()'s publish of g_service is seen by
+  // the handler or by main()'s re-check of g_stop_requested.
+  g_stop_requested.store(true);
+  mecsc::serve::SlotService* service = g_service.load();
   if (service != nullptr) service->request_stop();
 }
 
@@ -204,11 +210,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Handlers go in before the service is built, so a SIGINT/SIGTERM
+  // during start-up is a graceful stop rather than the default kill: the
+  // run serves its first slot, seals the trace and exits 0.
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
   try {
     SlotService service(options);
-    g_service.store(&service, std::memory_order_release);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
+    g_service.store(&service);
+    if (g_stop_requested.load()) service.request_stop();
 
     std::fprintf(stderr,
                  "mecsc_serve: %zu stations, %zu requests, %zu slots x %zu ms, "
@@ -233,7 +243,7 @@ int main(int argc, char** argv) {
     }
 
     const ServeReport report = service.join();
-    g_service.store(nullptr, std::memory_order_release);
+    g_service.store(nullptr);
 
     std::fprintf(stderr,
                  "mecsc_serve: served %zu slot(s)%s, ingested %llu, shed %llu, "

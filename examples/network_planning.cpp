@@ -88,10 +88,7 @@ int main() {
 
     net::NetworkDelayModel delays =
         net::make_delay_model(topo, net::DelayModelKind::kUniform, rng);
-    std::vector<std::vector<double>> realized;
-    for (std::size_t t = 0; t < kSlots; ++t) realized.push_back(delays.realize(rng));
-
-    sim::Simulator simulator(problem, &demands, std::move(realized));
+    sim::Simulator simulator(problem, &demands, std::move(delays), rng);
     algorithms::OlOptions opt;
     auto algo = algorithms::make_ol_gd(problem, demands, opt, 9);
     sim::RunResult r = simulator.run(*algo);

@@ -30,6 +30,8 @@
 #include <iostream>
 #include <string>
 
+#include <signal.h>
+
 #include "common/error.h"
 #include "serve/replay.h"
 #include "serve/service.h"
@@ -215,6 +217,13 @@ int main(int argc, char** argv) {
   // run serves its first slot, seals the trace and exits 0.
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
+  // A parent may exec the daemon with both signals blocked, one already
+  // pending; unblocking them only now delivers it to the handler.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  sigprocmask(SIG_UNBLOCK, &stop_signals, nullptr);
   try {
     SlotService service(options);
     g_service.store(&service);

@@ -45,35 +45,30 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
   workload_ = workload::make_workload(*topology_, wp, workload_rng, params.bursty);
 
   // One combined realisation keeps demand processes' state consistent:
-  // the first history_horizon slots become the historical trace, the
-  // rest is the run-time ground truth.
+  // each request's first history_horizon slots go to the historical
+  // trace, the rest straight into the run-time ground truth.
   const std::size_t num_requests = workload_.requests.size();
-  workload::DemandMatrix full = workload::realize_demands(
-      workload_.requests, workload_.processes, total_horizon, demand_rng);
   demands_ = std::make_unique<workload::DemandMatrix>(num_requests, params.horizon);
-  for (std::size_t l = 0; l < num_requests; ++l) {
-    for (std::size_t t = 0; t < params.horizon; ++t) {
-      demands_->set(l, t, full.at(l, params.history_horizon + t));
-    }
-  }
+  std::unique_ptr<workload::DemandMatrix> hist;
   if (params.history_horizon > 0) {
-    workload::DemandMatrix hist(num_requests, params.history_horizon);
-    for (std::size_t l = 0; l < num_requests; ++l) {
-      for (std::size_t t = 0; t < params.history_horizon; ++t) {
-        hist.set(l, t, full.at(l, t));
-      }
-    }
+    hist = std::make_unique<workload::DemandMatrix>(num_requests,
+                                                    params.history_horizon);
+  }
+  workload::SlotTotals totals;
+  workload::realize_demands_into(workload_.requests, workload_.processes,
+                                 demand_rng, hist.get(), *demands_, &totals);
+  if (hist != nullptr) {
     trace_ = std::make_unique<workload::Trace>(workload::Trace::from_demands(
-        workload_.requests, hist, wp.num_clusters, params.trace_sample_fraction,
+        workload_.requests, *hist, wp.num_clusters, params.trace_sample_fraction,
         trace_rng));
   } else {
     // Degenerate one-slot trace from the first run slot.
-    workload::DemandMatrix hist(num_requests, 1);
+    workload::DemandMatrix first(num_requests, 1);
     for (std::size_t l = 0; l < num_requests; ++l) {
-      hist.set(l, 0, demands_->at(l, 0));
+      first.set(l, 0, demands_->at(l, 0));
     }
     trace_ = std::make_unique<workload::Trace>(workload::Trace::from_demands(
-        workload_.requests, hist, wp.num_clusters, 1.0, trace_rng));
+        workload_.requests, first, wp.num_clusters, 1.0, trace_rng));
   }
 
   // Uphold the paper's §III.E feasibility assumption for every realised
@@ -84,17 +79,8 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
   // problem().options().c_unit_mhz.
   core::ProblemOptions popt = params.problem;
   {
-    double worst_slot_units = 0.0;
-    double worst_single = 0.0;
-    for (std::size_t t = 0; t < params.horizon; ++t) {
-      double total = 0.0;
-      for (std::size_t l = 0; l < num_requests; ++l) {
-        double d = demands_->at(l, t);
-        total += d;
-        worst_single = std::max(worst_single, d);
-      }
-      worst_slot_units = std::max(worst_slot_units, total);
-    }
+    const double worst_slot_units = totals.sum[totals.worst_slot()];
+    const double worst_single = totals.max_single;
     double biggest_station = 0.0;
     for (const auto& bs : topology_->stations()) {
       biggest_station = std::max(biggest_station, bs.capacity_mhz);
@@ -127,6 +113,7 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
         *problem_,
         fault::FaultPlan::generate(*topology_, params.horizon, fopt, fault_seed));
     fault_injector_->apply_to_demands(*demands_);
+    totals = workload::slot_totals(*demands_);
   }
 
   net::NetworkDelayModel delay_model =
@@ -138,30 +125,14 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
   // The baselines' stale historical measurement precedes the run.
   historical_estimates_ = delay_model.realize(delay_rng);
 
-  std::vector<std::vector<double>> unit_delays;
-  unit_delays.reserve(params.horizon);
-  for (std::size_t t = 0; t < params.horizon; ++t) {
-    unit_delays.push_back(delay_model.realize(delay_rng));
-  }
-
   // Validate the paper's standing feasibility assumption on the heaviest
   // slot up front, so misconfigured experiments fail fast.
-  std::size_t worst_t = 0;
-  double worst = -1.0;
-  for (std::size_t t = 0; t < params.horizon; ++t) {
-    double s = 0.0;
-    for (std::size_t l = 0; l < problem_->num_requests(); ++l) {
-      s += demands_->at(l, t);
-    }
-    if (s > worst) {
-      worst = s;
-      worst_t = t;
-    }
-  }
-  problem_->check_capacity_feasible(demands_->slot(worst_t));
+  problem_->check_capacity_feasible(demands_->slot(totals.worst_slot()));
 
+  // The run's unit delays continue the same stream, drawn per slot on
+  // first use.
   simulator_ = std::make_unique<Simulator>(*problem_, demands_.get(),
-                                           std::move(unit_delays),
+                                           std::move(delay_model), delay_rng,
                                            params.track_regret);
   if (fault_injector_ != nullptr) {
     simulator_->set_fault_injector(fault_injector_.get());

@@ -78,9 +78,12 @@ struct ScenarioParams {
   std::uint64_t seed = 1;
 };
 
-/// A fully materialised scenario: topology, workload, problem instance,
-/// realised demands and delays for the run horizon, a small-sample
-/// historical trace for predictor training, and a ready simulator.
+/// One experimental scenario: topology, workload, problem instance, the
+/// realised demand matrix of the run horizon, a small-sample historical
+/// trace for predictor training, and a ready simulator. The demand matrix
+/// is realised once at construction, straight into place; the unit
+/// delays are drawn per slot by the simulator on first use, from the
+/// same stream an eager draw would have used.
 ///
 /// Heap-held members keep the addresses the problem/simulator point at
 /// stable; the struct itself is movable.

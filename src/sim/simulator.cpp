@@ -49,21 +49,28 @@ double RunResult::tail_mean_delay_ms(std::size_t n) const {
 
 Simulator::Simulator(const core::CachingProblem& problem,
                      const workload::DemandMatrix* demands,
-                     std::vector<std::vector<double>> unit_delays,
+                     net::NetworkDelayModel delay_model, common::Rng delay_rng,
                      bool track_regret)
     : problem_(&problem),
       demands_(demands),
-      unit_delays_(std::move(unit_delays)),
+      delay_model_(std::move(delay_model)),
+      delay_rng_(delay_rng),
       track_regret_(track_regret) {
   MECSC_CHECK_MSG(demands_ != nullptr, "null demand matrix");
   MECSC_CHECK_MSG(demands_->num_requests() == problem.num_requests(),
                   "demand matrix / problem size mismatch");
-  MECSC_CHECK_MSG(!unit_delays_.empty(), "no realised delays");
-  for (const auto& d : unit_delays_) {
-    MECSC_CHECK_MSG(d.size() == problem.num_stations(),
-                    "unit delay vector size mismatch");
+  MECSC_CHECK_MSG(delay_model_.size() == problem.num_stations(),
+                  "delay model / station count mismatch");
+  horizon_ = demands_->horizon();
+}
+
+const std::vector<double>& Simulator::unit_delays(std::size_t t) const {
+  MECSC_CHECK_MSG(t < horizon_, "unit_delays: slot past the horizon");
+  std::lock_guard<std::mutex> lock(delays_mu_);
+  while (unit_delays_.size() <= t) {
+    unit_delays_.push_back(delay_model_.realize(delay_rng_));
   }
-  horizon_ = std::min(demands_->horizon(), unit_delays_.size());
+  return unit_delays_[t];
 }
 
 RunResult Simulator::run(algorithms::CachingAlgorithm& algorithm) const {
@@ -77,7 +84,7 @@ RunResult Simulator::run(algorithms::CachingAlgorithm& algorithm) const {
   for (std::size_t t = 0; t < horizon_; ++t) {
     if (before_slot_) before_slot_(t);
     result.slots.push_back(
-        engine.step(t, algorithm, demands_->slot(t), unit_delays_[t]));
+        engine.step(t, algorithm, demands_->slot(t), unit_delays(t)));
   }
   engine.end_run();
   if (track_regret_) result.cumulative_regret = engine.cumulative_regret();

@@ -1,8 +1,10 @@
 #ifndef MECSC_SIM_SIMULATOR_H
 #define MECSC_SIM_SIMULATOR_H
 
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "core/problem.h"
 #include "core/regret.h"
 #include "fault/fault_injector.h"
+#include "net/delay_process.h"
 #include "obs/span.h"
 #include "sim/slot_engine.h"
 #include "workload/demand_model.h"
@@ -45,16 +48,19 @@ struct RunResult {
 /// decision ex post (Eq. 3 with realised values), and reveals the slot's
 /// ground truth to the algorithm.
 ///
-/// The true demand matrix and the realised per-slot unit delays are
-/// fixed at construction so every algorithm is compared on identical
-/// sample paths.
+/// The true demand matrix is fixed at construction. The unit delays are
+/// drawn slot by slot, in slot order, on first use, from the simulator's
+/// own delay stream. Every algorithm and every caller therefore sees the
+/// same sample path whatever order they read slots in, and a run that
+/// reads 30 slots of a long horizon draws only those 30.
 class Simulator {
  public:
-  /// unit_delays[t][i] = realised d_i(t). Horizon = min(demands horizon,
-  /// unit_delays size).
+  /// `delay_model` and `delay_rng` are positioned where slot 0's draw
+  /// starts; unit_delays(t) is the (t+1)-th `delay_model.realize` call on
+  /// that stream. Horizon = the demand matrix's horizon.
   Simulator(const core::CachingProblem& problem,
             const workload::DemandMatrix* demands,
-            std::vector<std::vector<double>> unit_delays,
+            net::NetworkDelayModel delay_model, common::Rng delay_rng,
             bool track_regret = false);
 
   /// Number of slots a run() simulates.
@@ -82,20 +88,24 @@ class Simulator {
   }
 
   /// Runs one algorithm over the full horizon. Each run drives a fresh
-  /// SlotEngine over the pre-realised demand matrix, so repeated runs
-  /// (and runs of different algorithms) are independent.
+  /// SlotEngine over the realised demand matrix and unit delays, so
+  /// repeated runs (and runs of different algorithms) are independent.
   RunResult run(algorithms::CachingAlgorithm& algorithm) const;
 
   /// Realised per-unit delays d_i(t) of slot t — the sample path live
   /// drivers (mecsc::serve) share with the batch runs of this scenario.
-  const std::vector<double>& unit_delays(std::size_t t) const {
-    return unit_delays_.at(t);
-  }
+  /// Thread-safe; draws every not yet drawn slot up to t. The reference
+  /// stays valid for the simulator's lifetime.
+  const std::vector<double>& unit_delays(std::size_t t) const;
 
  private:
   const core::CachingProblem* problem_;
   const workload::DemandMatrix* demands_;
-  std::vector<std::vector<double>> unit_delays_;
+  mutable std::mutex delays_mu_;
+  mutable net::NetworkDelayModel delay_model_;
+  mutable common::Rng delay_rng_;
+  // A deque: appending never moves the slots already handed out.
+  mutable std::deque<std::vector<double>> unit_delays_;
   std::size_t horizon_;
   bool track_regret_;
   std::function<void(std::size_t)> before_slot_;

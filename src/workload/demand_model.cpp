@@ -52,7 +52,8 @@ double DiurnalDemand::sample(std::size_t t, common::Rng& rng) {
 EventSchedule::EventSchedule(std::size_t num_clusters, std::size_t horizon,
                              double event_prob, std::size_t duration,
                              double boost, common::Rng& rng)
-    : boost_(num_clusters, std::vector<double>(horizon, 1.0)) {
+    : num_clusters_(num_clusters), horizon_(horizon), boost_(boost),
+      active_(num_clusters * horizon, 0) {
   MECSC_CHECK_MSG(num_clusters > 0, "need at least one cluster");
   MECSC_CHECK_MSG(0.0 <= event_prob && event_prob <= 1.0, "event prob out of [0,1]");
   MECSC_CHECK_MSG(boost >= 1.0, "boost must be >= 1");
@@ -61,16 +62,16 @@ EventSchedule::EventSchedule(std::size_t num_clusters, std::size_t horizon,
     std::size_t cluster = rng.index(num_clusters);
     ++num_events_;
     for (std::size_t d = 0; d < duration && t + d < horizon; ++d) {
-      boost_[cluster][t + d] = std::max(boost_[cluster][t + d], boost);
+      active_[cluster * horizon + t + d] = 1;
     }
   }
 }
 
 double EventSchedule::multiplier(std::size_t cluster, std::size_t t) const {
-  MECSC_CHECK(cluster < boost_.size());
-  if (boost_[cluster].empty()) return 1.0;
-  if (t >= boost_[cluster].size()) t = boost_[cluster].size() - 1;
-  return boost_[cluster][t];
+  MECSC_CHECK(cluster < num_clusters_);
+  if (horizon_ == 0) return 1.0;
+  if (t >= horizon_) t = horizon_ - 1;
+  return active_[cluster * horizon_ + t] != 0 ? boost_ : 1.0;
 }
 
 CompositeDemand::CompositeDemand(std::unique_ptr<DemandProcess> diurnal,
@@ -134,18 +135,68 @@ double DemandMatrix::max_value() const {
   return m;
 }
 
+std::size_t SlotTotals::worst_slot() const {
+  std::size_t worst_t = 0;
+  double worst = -1.0;
+  for (std::size_t t = 0; t < sum.size(); ++t) {
+    if (sum[t] > worst) {
+      worst = sum[t];
+      worst_t = t;
+    }
+  }
+  return worst_t;
+}
+
+SlotTotals slot_totals(const DemandMatrix& m) {
+  SlotTotals totals;
+  totals.sum.assign(m.horizon(), 0.0);
+  for (std::size_t l = 0; l < m.num_requests(); ++l) {
+    for (std::size_t t = 0; t < m.horizon(); ++t) {
+      const double d = m.at(l, t);
+      totals.sum[t] += d;
+      totals.max_single = std::max(totals.max_single, d);
+    }
+  }
+  return totals;
+}
+
+void realize_demands_into(const std::vector<Request>& requests,
+                          std::vector<std::unique_ptr<DemandProcess>>& processes,
+                          common::Rng& rng, DemandMatrix* history,
+                          DemandMatrix& run, SlotTotals* run_totals) {
+  MECSC_CHECK_MSG(requests.size() == processes.size(),
+                  "one demand process per request required");
+  MECSC_CHECK_MSG(run.num_requests() == requests.size(),
+                  "demand matrix / request count mismatch");
+  MECSC_CHECK_MSG(history == nullptr || history->num_requests() == requests.size(),
+                  "history matrix / request count mismatch");
+  const std::size_t hist_len = history != nullptr ? history->horizon() : 0;
+  if (run_totals != nullptr) {
+    *run_totals = SlotTotals{};
+    run_totals->sum.assign(run.horizon(), 0.0);
+  }
+  for (std::size_t l = 0; l < requests.size(); ++l) {
+    for (std::size_t t = 0; t < hist_len + run.horizon(); ++t) {
+      const double d =
+          std::max(0.0, requests[l].basic_demand + processes[l]->sample(t, rng));
+      if (t < hist_len) {
+        history->set(l, t, d);
+        continue;
+      }
+      run.set(l, t - hist_len, d);
+      if (run_totals != nullptr) {
+        run_totals->sum[t - hist_len] += d;
+        run_totals->max_single = std::max(run_totals->max_single, d);
+      }
+    }
+  }
+}
+
 DemandMatrix realize_demands(const std::vector<Request>& requests,
                              std::vector<std::unique_ptr<DemandProcess>>& processes,
                              std::size_t horizon, common::Rng& rng) {
-  MECSC_CHECK_MSG(requests.size() == processes.size(),
-                  "one demand process per request required");
   DemandMatrix m(requests.size(), horizon);
-  for (std::size_t l = 0; l < requests.size(); ++l) {
-    for (std::size_t t = 0; t < horizon; ++t) {
-      double bursty = processes[l]->sample(t, rng);
-      m.set(l, t, std::max(0.0, requests[l].basic_demand + bursty));
-    }
-  }
+  realize_demands_into(requests, processes, rng, nullptr, m);
   return m;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MECSC_WORKLOAD_DEMAND_MODEL_H
 #define MECSC_WORKLOAD_DEMAND_MODEL_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -82,13 +83,17 @@ class EventSchedule {
                 double event_prob, std::size_t duration, double boost,
                 common::Rng& rng);
 
-  /// Demand multiplier (>= 1) for a cluster at a slot.
+  /// Demand multiplier for a cluster at a slot: `boost` while an event
+  /// covers it, 1 otherwise. Slots past the horizon read the last slot.
   double multiplier(std::size_t cluster, std::size_t t) const;
 
   std::size_t num_events() const noexcept { return num_events_; }
 
  private:
-  std::vector<std::vector<double>> boost_;  // [cluster][slot]
+  std::size_t num_clusters_;
+  std::size_t horizon_;
+  double boost_;
+  std::vector<std::uint8_t> active_;  // [cluster * horizon + slot]
   std::size_t num_events_ = 0;
 };
 
@@ -150,8 +155,34 @@ class DemandMatrix {
   std::vector<double> data_;  // row-major [request][slot]
 };
 
-/// Materialises a demand matrix: for each request, total demand
-/// ρ_basic + process sample, clamped to >= 0.
+/// Per-slot column sums of a demand matrix and its largest entry. Each
+/// sum adds the requests in index order, so it is bit-identical however
+/// the matrix was walked to build it.
+struct SlotTotals {
+  /// sum[t] = Σ_l ρ_l(t).
+  std::vector<double> sum;
+  /// max over l, t of ρ_l(t).
+  double max_single = 0.0;
+
+  /// First slot with the largest sum.
+  std::size_t worst_slot() const;
+};
+
+/// Row-major scan of `m` into its SlotTotals.
+SlotTotals slot_totals(const DemandMatrix& m);
+
+/// Realises every request's total demand ρ_basic + process sample,
+/// clamped to >= 0, in request-major order: request l draws its
+/// `history` slots (skipped when null) and then its `run` slots before
+/// request l + 1 draws any. When `run_totals` is non-null it receives the
+/// SlotTotals of `run`, accumulated as the values are drawn.
+void realize_demands_into(const std::vector<Request>& requests,
+                          std::vector<std::unique_ptr<DemandProcess>>& processes,
+                          common::Rng& rng, DemandMatrix* history,
+                          DemandMatrix& run, SlotTotals* run_totals = nullptr);
+
+/// Materialises a `horizon`-slot demand matrix (realize_demands_into
+/// with no history).
 DemandMatrix realize_demands(const std::vector<Request>& requests,
                              std::vector<std::unique_ptr<DemandProcess>>& processes,
                              std::size_t horizon, common::Rng& rng);

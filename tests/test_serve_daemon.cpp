@@ -5,6 +5,7 @@
 // ($<TARGET_FILE:mecsc_serve_daemon>).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -102,6 +103,51 @@ TEST(ServeDaemon, SigtermDrainsSealsTraceExitsZero) {
   EXPECT_GE(slots, 1u);
   EXPECT_LT(slots, 100000u);
   // The partial trace still replays bit-for-bit.
+  EXPECT_EQ(run_command(daemon_bin() + " --verify " + trace + " 2>/dev/null"),
+            0);
+  std::remove(trace.c_str());
+}
+
+// The start-up window, pinned without a sleep: the daemon is exec'd with
+// SIGTERM blocked and already pending, so the signal lands exactly when
+// main() unblocks it, after the handlers are installed and before the
+// --slots 100000 service is built. The run still serves one slot, seals
+// its trace and exits 0.
+TEST(ServeDaemon, SigtermPendingAtExecServesOneSlotExitsZero) {
+  const std::string trace = temp_path("pending.trace");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    sigset_t term;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    sigprocmask(SIG_BLOCK, &term, nullptr);
+    kill(getpid(), SIGTERM);
+    execl(daemon_bin().c_str(), "mecsc_serve", "--stations", "12", "--requests",
+          "30", "--services", "3", "--slots", "100000", "--slot-ms", "20",
+          "--seed", "5", "--trace-out", trace.c_str(), (char*)nullptr);
+    _exit(127);
+  }
+  // A daemon that never sees the signal would run for 2000 s; give up
+  // long before that.
+  int status = 0;
+  pid_t waited = 0;
+  for (int i = 0; i < 1200 && waited == 0; ++i) {
+    waited = waitpid(pid, &status, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  if (waited == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "daemon ignored the SIGTERM pending at exec";
+  }
+  ASSERT_EQ(waited, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::size_t slots = 0;
+  EXPECT_TRUE(mecsc::serve::trace_well_formed(trace, &slots));
+  EXPECT_EQ(slots, 1u);
   EXPECT_EQ(run_command(daemon_bin() + " --verify " + trace + " 2>/dev/null"),
             0);
   std::remove(trace.c_str());

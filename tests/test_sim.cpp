@@ -2,13 +2,18 @@
 // Scenario construction, and the parallel replication runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "algorithms/baselines.h"
 #include "algorithms/ol_gd.h"
+#include "net/generators.h"
 #include "sim/replication.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -205,6 +210,185 @@ TEST(Replication, PropagatesBodyException) {
           [](std::size_t, int&) {}),
       std::runtime_error);
   unsetenv("MECSC_WORKERS");
+}
+
+// The scenario as it was built before demands were realised in place
+// and unit delays drawn per slot: every horizon-sized table eagerly,
+// from the public pieces, in the original order. Scenario must match it
+// bit for bit.
+struct EagerScenario {
+  std::unique_ptr<net::Topology> topology;
+  std::unique_ptr<workload::DemandMatrix> demands;
+  std::vector<workload::TraceRow> trace_rows;
+  double c_unit_mhz = 0.0;
+  bool derated = false;
+  std::vector<double> historical;
+  std::vector<std::vector<double>> unit_delays;
+};
+
+EagerScenario build_eager(const ScenarioParams& params) {
+  EagerScenario e;
+  common::Rng root(params.seed);
+  common::Rng topo_rng = root.split();
+  common::Rng workload_rng = root.split();
+  common::Rng problem_rng = root.split();
+  common::Rng demand_rng = root.split();
+  common::Rng delay_rng = root.split();
+  common::Rng trace_rng = root.split();
+  root.split();  // algorithm seed root
+  const std::uint64_t fault_seed = root.split().seed();
+
+  net::GtItmParams gp;
+  gp.num_stations = params.num_stations;
+  e.topology = std::make_unique<net::Topology>(
+      net::generate_gtitm_like(gp, topo_rng));
+  workload::WorkloadParams wp = params.workload;
+  const std::size_t total = params.history_horizon + params.horizon;
+  wp.horizon = total;
+  workload::Workload w =
+      workload::make_workload(*e.topology, wp, workload_rng, params.bursty);
+
+  const std::size_t n = w.requests.size();
+  workload::DemandMatrix full =
+      workload::realize_demands(w.requests, w.processes, total, demand_rng);
+  e.demands = std::make_unique<workload::DemandMatrix>(n, params.horizon);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t t = 0; t < params.horizon; ++t) {
+      e.demands->set(l, t, full.at(l, params.history_horizon + t));
+    }
+  }
+  const std::size_t hist_len = std::max<std::size_t>(params.history_horizon, 1);
+  workload::DemandMatrix hist(n, hist_len);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t t = 0; t < hist_len; ++t) hist.set(l, t, full.at(l, t));
+  }
+  const double fraction =
+      params.history_horizon > 0 ? params.trace_sample_fraction : 1.0;
+  e.trace_rows = workload::Trace::from_demands(w.requests, hist, wp.num_clusters,
+                                               fraction, trace_rng)
+                     .rows();
+
+  // The column-wise derate scan.
+  double worst_slot_units = 0.0;
+  double worst_single = 0.0;
+  for (std::size_t t = 0; t < params.horizon; ++t) {
+    double slot_total = 0.0;
+    for (std::size_t l = 0; l < n; ++l) {
+      slot_total += e.demands->at(l, t);
+      worst_single = std::max(worst_single, e.demands->at(l, t));
+    }
+    worst_slot_units = std::max(worst_slot_units, slot_total);
+  }
+  double biggest_station = 0.0;
+  for (const auto& bs : e.topology->stations()) {
+    biggest_station = std::max(biggest_station, bs.capacity_mhz);
+  }
+  core::ProblemOptions popt = params.problem;
+  double limit = popt.c_unit_mhz;
+  if (worst_slot_units > 0.0) {
+    limit = std::min(limit, 0.9 * e.topology->total_capacity_mhz() / worst_slot_units);
+  }
+  if (worst_single > 0.0) {
+    limit = std::min(limit, 0.9 * biggest_station / worst_single);
+  }
+  e.derated = limit < popt.c_unit_mhz;
+  popt.c_unit_mhz = std::min(popt.c_unit_mhz, limit);
+  e.c_unit_mhz = popt.c_unit_mhz;
+
+  core::CachingProblem problem(e.topology.get(), w.services, w.requests, popt,
+                               problem_rng);
+  if (params.fault.mode != fault::FaultMode::kOff) {
+    fault::FaultInjector injector(
+        problem, fault::FaultPlan::generate(*e.topology, params.horizon,
+                                            params.fault, fault_seed));
+    injector.apply_to_demands(*e.demands);
+  }
+
+  net::NetworkDelayModel model =
+      net::make_delay_model(*e.topology, params.delay_kind, delay_rng);
+  e.historical = model.realize(delay_rng);
+  for (std::size_t t = 0; t < params.horizon; ++t) {
+    e.unit_delays.push_back(model.realize(delay_rng));
+  }
+  return e;
+}
+
+bool same_rows(const std::vector<workload::TraceRow>& a,
+               const std::vector<workload::TraceRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].user != b[i].user || a[i].cluster != b[i].cluster ||
+        a[i].slot != b[i].slot || a[i].demand != b[i].demand) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// (bursty, history_horizon, faults on)
+class EagerEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t, bool>> {};
+
+TEST_P(EagerEquivalenceTest, ScenarioMatchesEagerBuildBitForBit) {
+  const auto [bursty, history, faults] = GetParam();
+  ScenarioParams p = small_params(77, bursty);
+  p.horizon = 40;
+  p.history_horizon = history;
+  p.fault_env_override = false;
+  p.fault.mode = faults ? fault::FaultMode::kChurn : fault::FaultMode::kOff;
+  const EagerScenario e = build_eager(p);
+  Scenario s(p);
+
+  ASSERT_EQ(s.demands().num_requests(), e.demands->num_requests());
+  ASSERT_EQ(s.demands().horizon(), e.demands->horizon());
+  for (std::size_t l = 0; l < e.demands->num_requests(); ++l) {
+    EXPECT_EQ(s.demands().series(l), e.demands->series(l)) << "request " << l;
+  }
+  EXPECT_TRUE(same_rows(s.trace().rows(), e.trace_rows));
+  EXPECT_EQ(s.problem().options().c_unit_mhz, e.c_unit_mhz);
+  EXPECT_EQ(s.c_unit_derated(), e.derated);
+  EXPECT_EQ(s.historical_delay_estimates(), e.historical);
+
+  // Scrambled read order: lazy per-slot draws must not depend on it.
+  std::vector<std::size_t> order(p.horizon);
+  for (std::size_t t = 0; t < order.size(); ++t) order[t] = t;
+  common::Rng shuffle_rng(5);
+  shuffle_rng.shuffle(order);
+  for (std::size_t t : order) {
+    EXPECT_EQ(s.simulator().unit_delays(t), e.unit_delays[t]) << "slot " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, EagerEquivalenceTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(std::size_t{0}, std::size_t{96}),
+                       ::testing::Bool()));
+
+TEST(Simulator, ConcurrentUnitDelayReadsMatchSequentialTwin) {
+  ScenarioParams p = small_params(31, /*bursty=*/true);
+  p.horizon = 400;
+  const Scenario shared(p);
+  const Scenario twin(p);
+
+  // Two readers over interleaved slots of one scenario: one ascending
+  // over the even slots, one descending over the odd ones, so either may
+  // be the one that draws a slot.
+  std::vector<std::vector<double>> seen(p.horizon);
+  std::thread up([&] {
+    for (std::size_t t = 0; t < p.horizon; t += 2) {
+      seen[t] = shared.simulator().unit_delays(t);
+    }
+  });
+  std::thread down([&] {
+    for (std::size_t t = p.horizon - 1; t < p.horizon; t -= 2) {
+      seen[t] = shared.simulator().unit_delays(t);
+    }
+  });
+  up.join();
+  down.join();
+  for (std::size_t t = 0; t < p.horizon; ++t) {
+    EXPECT_EQ(seen[t], twin.simulator().unit_delays(t)) << "slot " << t;
+  }
 }
 
 TEST(Simulator, BaselinesRunOnScenario) {

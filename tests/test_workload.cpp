@@ -162,6 +162,53 @@ TEST(MakeWorkload, GivenDemandRegimeIsConstant) {
   }
 }
 
+TEST(RealizeDemandsInto, SplitsOneStreamAndTotalsEachSlot) {
+  net::Topology topo = test_topology();
+  WorkloadParams p;
+  p.num_requests = 30;
+  p.horizon = 60;
+  common::Rng wrng(41);
+  Workload whole = make_workload(topo, p, wrng, /*bursty=*/true);
+  common::Rng wrng2(41);
+  Workload split = make_workload(topo, p, wrng2, /*bursty=*/true);
+
+  common::Rng drng(43);
+  DemandMatrix full = realize_demands(whole.requests, whole.processes, 60, drng);
+  common::Rng drng2(43);
+  DemandMatrix hist(30, 20);
+  DemandMatrix run(30, 40);
+  SlotTotals totals;
+  realize_demands_into(split.requests, split.processes, drng2, &hist, run,
+                       &totals);
+  for (std::size_t l = 0; l < 30; ++l) {
+    for (std::size_t t = 0; t < 20; ++t) EXPECT_EQ(hist.at(l, t), full.at(l, t));
+    for (std::size_t t = 0; t < 40; ++t) {
+      EXPECT_EQ(run.at(l, t), full.at(l, 20 + t));
+    }
+  }
+
+  // Column-wise sums in request order, first argmax: the same doubles
+  // whether accumulated while drawing or by a row-major re-scan.
+  const SlotTotals rescan = slot_totals(run);
+  ASSERT_EQ(totals.sum.size(), 40u);
+  std::size_t worst_t = 0;
+  double max_single = 0.0;
+  for (std::size_t t = 0; t < 40; ++t) {
+    double column = 0.0;
+    for (std::size_t l = 0; l < 30; ++l) {
+      column += run.at(l, t);
+      max_single = std::max(max_single, run.at(l, t));
+    }
+    EXPECT_EQ(totals.sum[t], column) << "slot " << t;
+    EXPECT_EQ(rescan.sum[t], column) << "slot " << t;
+    if (column > totals.sum[worst_t]) worst_t = t;
+  }
+  EXPECT_EQ(totals.max_single, max_single);
+  EXPECT_EQ(rescan.max_single, max_single);
+  EXPECT_EQ(totals.worst_slot(), worst_t);
+  EXPECT_EQ(rescan.worst_slot(), worst_t);
+}
+
 TEST(MakeWorkload, BurstyDemandsExceedBasicSometimes) {
   net::Topology topo = test_topology();
   common::Rng rng(21);
